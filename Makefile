@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check bench bench-json bench-smoke bench-scale-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
+.PHONY: all build test vet race fmt-check bench bench-json bench-smoke bench-scale-smoke perfbench-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke ci
 
 all: build test
 
@@ -56,6 +56,14 @@ bench-scale-smoke:
 	$(GO) test -run 'TestScaleSmoke$$|TestFaultyRunAllocCeiling$$' -count=1 -v ./internal/bench
 	$(GO) test -run 'TestRunnerSteadyStateAllocs$$' -count=1 -v ./internal/experiment
 	$(GO) test -race -run 'TestScaleParallelBitIdentitySmoke$$' -count=1 -v ./internal/bench
+
+# Repository-benchmark smoke: perfbench is its own module (replace
+# parastack => ../), so the root `go test ./...` never builds it. Its
+# tests build the benchmark against this checkout and check it against
+# BENCHMARK.json, so a change that breaks the benchmark's build (a root
+# go.mod it cannot use, a removed API it calls) fails here.
+perfbench-smoke:
+	cd perfbench && GOWORK=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Kill-and-resume check on the tiny built-in grid: run half the sweep
 # (-halt-after is the deterministic crash stand-in), then resume and
@@ -137,4 +145,4 @@ ledger-smoke:
 	@echo "ledger-smoke: OK"
 
 # The gate PRs must pass.
-ci: fmt-check vet build race bench-smoke bench-scale-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke
+ci: fmt-check vet build race bench-smoke bench-scale-smoke perfbench-smoke sweep-smoke fuzz-smoke chaos-smoke diagnose-smoke service-smoke recover-smoke ledger-smoke

@@ -62,58 +62,6 @@ type Report struct {
 	Cause *waitfor.Diagnosis
 }
 
-// RetryClass is the scheduler-facing classification of a verdict: what
-// a supervisor (the batch scheduler, or parastackd's own job
-// supervisor) should do with the hung job. It closes the loop the
-// diagnosis layer opened — the wait-for analysis says *why* the job
-// hung, and the retry class says what that why implies for
-// restart-vs-requeue policy.
-type RetryClass int
-
-const (
-	// RetryNone: nothing to retry — the job completed cleanly.
-	RetryNone RetryClass = iota
-	// RetryNever: the cause is structural (a deadlock cycle, a
-	// collective mismatch) — restarting deterministically reproduces
-	// it, so the supervisor should fail fast and surface the diagnosis
-	// instead of burning resources on doomed reruns.
-	RetryNever
-	// RetryTransient: the cause is plausibly transient — a straggler
-	// chain (noise-induced stalls are exactly the class "Spontaneous
-	// Asynchronicity in MPI-Parallel Applications" shows to be
-	// excursions, not errors), a lost message (the canonical dropped
-	// network event), or an unknown/infra failure — so a bounded
-	// requeue with backoff is worth the attempt.
-	RetryTransient
-)
-
-// String implements fmt.Stringer with stable wire-safe labels.
-func (c RetryClass) String() string {
-	switch c {
-	case RetryNone:
-		return "none"
-	case RetryNever:
-		return "never"
-	default:
-		return "transient"
-	}
-}
-
-// RetryClassForCause maps a wait-for cause label (waitfor.Cause's
-// stable strings, as carried on verdicts and sweep records) to its
-// retry class. Unrecognized or empty labels — no diagnosis ran, or the
-// classifier answered "unknown" — are RetryTransient: when the
-// evidence doesn't prove the hang is structural, one bounded retry is
-// cheaper than wrongly condemning a job a noise excursion stalled.
-func RetryClassForCause(cause string) RetryClass {
-	switch waitfor.Cause(cause) {
-	case waitfor.CauseDeadlock, waitfor.CauseCollectiveMismatch:
-		return RetryNever
-	default:
-		return RetryTransient
-	}
-}
-
 // Detector is the uniform surface of a hang detector attached to one
 // simulated world: construct it against the world, Start it before
 // launching the application, and read Report after the run (nil means

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/mpi"
 	"parastack/internal/stack"
 )
@@ -148,27 +149,25 @@ type ProgressGraph struct {
 }
 
 // BuildProgressGraph captures the instantaneous wait-for structure of
-// the world. Collective waits produce one edge per missing rank;
-// blocked receives produce an edge to their (known) source.
+// the world: a projection of the fully observed wait-for snapshot
+// (waitfor.Capture). Collective waits produce one edge per missing
+// rank; blocked receives produce an edge to their (known) source.
 func BuildProgressGraph(w *mpi.World) *ProgressGraph {
-	n := w.Size()
-	g := &ProgressGraph{Blocked: make([]bool, n)}
-	waitedOn := make([]bool, n)
-	for _, r := range w.Ranks() {
-		info := r.BlockInfo()
-		switch info.Kind {
-		case mpi.BlockedRecv, mpi.BlockedCollective:
-			g.Blocked[r.ID()] = true
-			for _, to := range info.WaitingFor {
-				g.Edges = append(g.Edges, WaitEdge{From: r.ID(), To: to, Detail: info.Detail})
+	snap := waitfor.Capture(w, nil)
+	g := &ProgressGraph{Blocked: make([]bool, snap.Size)}
+	waitedOn := make([]bool, snap.Size)
+	for _, rs := range snap.Ranks {
+		if rs.Kind == mpi.BlockedRecv || rs.Kind == mpi.BlockedCollective {
+			g.Blocked[rs.Rank] = true
+			for _, to := range rs.WaitingFor {
+				g.Edges = append(g.Edges, WaitEdge{From: rs.Rank, To: to, Detail: rs.Detail})
 				waitedOn[to] = true
 			}
 		}
 	}
-	for _, r := range w.Ranks() {
-		id := r.ID()
-		if !g.Blocked[id] && waitedOn[id] && r.BlockInfo().Kind != mpi.Terminated {
-			g.LeastProgressed = append(g.LeastProgressed, id)
+	for _, rs := range snap.Ranks {
+		if !g.Blocked[rs.Rank] && waitedOn[rs.Rank] && rs.Kind != mpi.Terminated {
+			g.LeastProgressed = append(g.LeastProgressed, rs.Rank)
 		}
 	}
 	return g

@@ -39,6 +39,9 @@ type RankState struct {
 	Seq  uint64 `json:"seq,omitempty"`
 	// WaitingFor are the ranks this rank is directly waiting on.
 	WaitingFor []int `json:"waiting_for,omitempty"`
+	// Detail is mpi.BlockInfo's human-readable description
+	// ("MPI_Recv src=3 tag=7"); the classifier never reads it.
+	Detail string `json:"detail,omitempty"`
 }
 
 // Snapshot is the captured blocking state of a (possibly partially
@@ -88,6 +91,7 @@ func Capture(w *mpi.World, observed func(rank int) bool) *Snapshot {
 			rs.Tag = info.Tag
 			rs.Comm = info.Comm
 			rs.Seq = info.Seq
+			rs.Detail = info.Detail
 			if len(info.WaitingFor) > 0 {
 				rs.WaitingFor = append([]int(nil), info.WaitingFor...)
 			}

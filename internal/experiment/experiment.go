@@ -15,7 +15,6 @@ import (
 
 	"parastack/internal/chaos"
 	"parastack/internal/core"
-	"parastack/internal/detect"
 	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/fault"
 	"parastack/internal/mpi"
@@ -180,20 +179,6 @@ type RunResult struct {
 	// Metrics is the run's observability snapshot: engine and monitor
 	// counters/gauges (see core.Ctr*/sim.Ctr* for names).
 	Metrics obs.Snapshot
-}
-
-// RetryClass classifies this run's outcome for a supervising
-// scheduler: RetryNone for a run whose application completed with no
-// report (there is nothing to redo), otherwise the cause-derived class
-// — structural causes (deadlock, collective mismatch) are RetryNever,
-// everything else (straggler chains, lost messages, unknown, no
-// diagnosis) is RetryTransient. parastackd's job supervisor consults
-// this to decide fail-fast versus requeue-with-backoff.
-func (r *RunResult) RetryClass() detect.RetryClass {
-	if r.Completed && firstReport(r) == nil {
-		return detect.RetryNone
-	}
-	return detect.RetryClassForCause(r.Cause)
 }
 
 // Runner executes simulations while retaining the engine and world
@@ -399,7 +384,8 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 	// classifier degrades toward unknown rather than trusting state
 	// nobody could have collected. (The extra chaos-stream draws happen
 	// after the run is decided, so determinism is unaffected.)
-	if verdict := firstReport(&res); verdict != nil && !res.Completed {
+	verdict := firstReport(&res)
+	if verdict != nil && !res.Completed {
 		now := time.Duration(eng.Now())
 		snap := waitfor.Capture(w, func(rank int) bool {
 			return chInj.ProbeFate(rank, now) == chaos.FateOK
@@ -419,24 +405,10 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 
 	// Detector verdicts: a report counts as detection only if the fault
 	// had fired; otherwise it is a false positive.
-	var at time.Duration
-	var reported bool
-	switch {
-	case res.Report != nil:
-		at, reported = res.Report.DetectedAt, true
-	case res.TimeoutReport != nil:
-		at, reported = res.TimeoutReport.DetectedAt, true
-	default:
-		for _, nr := range res.Extra {
-			if nr.Report != nil && (!reported || nr.Report.DetectedAt < at) {
-				at, reported = nr.Report.DetectedAt, true
-			}
-		}
-	}
-	if reported {
-		if res.Injected && at >= res.InjectedAt {
+	if verdict != nil {
+		if res.Injected && verdict.DetectedAt >= res.InjectedAt {
 			res.Detected = true
-			res.Delay = at - res.InjectedAt
+			res.Delay = verdict.DetectedAt - res.InjectedAt
 		} else {
 			res.FalsePositive = true
 		}
@@ -469,8 +441,9 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 
 // firstReport returns the run's winning verdict in detector-priority
 // order — ParaStack, then the fixed-(I,K)/watchdog slot, then the
-// earliest extra report — the same order the Detected/FalsePositive
-// classification uses. nil when every detector stayed quiet.
+// earliest extra report. It alone decides which report diagnosis
+// annotates and whether a run counts as Detected or FalsePositive; nil
+// when every detector stayed quiet.
 func firstReport(res *RunResult) *core.Report {
 	if res.Report != nil {
 		return res.Report

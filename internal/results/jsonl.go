@@ -9,12 +9,13 @@ import (
 )
 
 // JSONL is the plain-file Sink/Reader: one payload per line, appended
-// in arrival order, fsync'd every SyncEvery appends and on Flush/Close.
-// It is the results-sink twin of the sweep's log (internal/sweep.Log)
-// with two additions the service journal needs: it implements Reader —
-// Records re-reads the file, tolerating a torn final line from a hard
-// kill — and it reports Lag, the number of appended records not yet
-// covered by an fsync (the crash-loss window a health probe surfaces).
+// in arrival order, fsync'd every syncEvery appends and on Flush/Close.
+// It is the sweep's results log (internal/sweep writes it at
+// Options.Out) and the service's default admission journal. It
+// implements Reader — Records re-reads the file, tolerating a torn
+// final line from a hard kill — and reports Lag, the number of appended
+// records not yet covered by an fsync (the crash-loss window a health
+// probe surfaces).
 //
 // Keys are not persisted: the payload is written verbatim, so any
 // identity a reader needs must ride inside the payload (the journal's
@@ -119,7 +120,7 @@ func (l *JSONL) Close() error {
 // Record with an empty Key. Buffered-but-unflushed appends are synced
 // first so a sink reads its own writes. A torn final line — no
 // trailing newline, the signature of a hard kill mid-write — is
-// dropped, matching the sweep log's crash-recovery rule; empty lines
+// dropped (the crash-recovery rule sweep.Load relies on); empty lines
 // are skipped.
 func (l *JSONL) Records() ([]Record, error) {
 	l.mu.Lock()

@@ -1,17 +1,16 @@
 // Package results defines the unified results-sink API: the small,
 // dependency-free contract every durable results consumer in the
-// repository satisfies. The sweep's JSONL log (internal/sweep.Log),
-// the tamper-evident Merkle ledger (internal/ledger.Ledger), and any
-// future backend (an object store, a network forwarder) all implement
-// Sink, so the sweep orchestrator and the detection service write
-// terminal records through one interface instead of a concrete log
-// type.
+// repository satisfies. The plain-file JSONL sink (jsonl.go), the
+// tamper-evident Merkle ledger (internal/ledger.Ledger), and any future
+// backend (an object store, a network forwarder) all implement Sink, so
+// the sweep orchestrator and the detection service write terminal
+// records through one interface instead of a concrete log type.
 //
 // The package is a deliberate leaf: it imports only the standard
 // library, so any layer — sweep, service, ledger, a CLI — can depend
 // on it without cycles. Besides the contract it ships one minimal
-// implementation, the plain-file JSONL sink (see jsonl.go), which the
-// detection service uses as its default admission-journal backend.
+// implementation, the plain-file JSONL sink (see jsonl.go): the sweep's
+// results log and the detection service's default admission journal.
 package results
 
 import "errors"
@@ -19,8 +18,7 @@ import "errors"
 // ErrClosed is the shared write-after-close sentinel: Append on any
 // closed Sink returns an error satisfying errors.Is(err, ErrClosed).
 // Callers racing a shutdown use it to distinguish "the sink is gone,
-// drop or re-route the record" from a real I/O failure. sweep.ErrClosed
-// aliases this value, so legacy comparisons keep working.
+// drop or re-route the record" from a real I/O failure.
 var ErrClosed = errors.New("results: sink is closed")
 
 // Record is one terminal result in transit: a stable cell key plus the

@@ -6,8 +6,8 @@ import (
 )
 
 // memSink is the minimal conforming Sink: the contract tests below are
-// the executable spec every real sink (sweep.Log, ledger.Ledger) also
-// passes in its own package.
+// the executable spec every real sink (JSONL, ledger.Ledger) also
+// passes in its own tests.
 type memSink struct {
 	recs   []Record
 	closed bool

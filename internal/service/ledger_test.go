@@ -114,6 +114,11 @@ func TestVerdictSinkFailureDoesNotBlockVerdict(t *testing.T) {
 	if v.Status != VerdictOK {
 		t.Fatalf("verdict status = %q", v.Status)
 	}
+	// Wait returns once the verdict is installed, which can be before
+	// the sink error is counted; Close waits for every worker callback.
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := svc.Counters().Counters[CtrSinkErrors]; got != 1 {
 		t.Fatalf("%s = %d, want 1", CtrSinkErrors, got)
 	}

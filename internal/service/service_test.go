@@ -409,6 +409,11 @@ func TestRunPanicYieldsFailedVerdict(t *testing.T) {
 	if v.Status != VerdictFailed || v.Error == "" {
 		t.Fatalf("verdict = %+v, want failed with error", v)
 	}
+	// Counters settle only after every worker callback returns, which
+	// Close waits for; Wait may return first.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Counters().Counter(CtrJobsFailed); got != 1 {
 		t.Errorf("jobs_failed = %d, want 1", got)
 	}

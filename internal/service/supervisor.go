@@ -5,7 +5,7 @@ import (
 	"hash/fnv"
 	"time"
 
-	"parastack/internal/detect"
+	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/sweep"
 )
 
@@ -125,22 +125,40 @@ func (s *Service) dispatch(shard int, j *job) {
 }
 
 // complete is the supervisor's decision point for one finished attempt:
-// map the outcome to a retry class, requeue transient failures while
-// attempts remain, and decide everything else. The class comes from the
-// run itself (experiment.RunResult.RetryClass — the wait-for cause
-// feeding back into scheduling policy); a panicked worker or an open
-// circuit has no result and is transient infrastructure by definition.
+// requeue it while attempts remain if shouldRequeue says so, and decide
+// everything else.
 func (s *Service) complete(j *job, rec sweep.Record) {
 	v := Verdict{JobID: j.spec.ID, Key: j.key, Status: VerdictFailed, Error: rec.Error}
-	class := detect.RetryTransient
 	if rec.Status == sweep.StatusOK && rec.Result != nil {
 		v = verdictFromResult(j.spec.ID, j.key, rec.Result)
-		class = rec.Result.RetryClass()
 	}
-	if class == detect.RetryTransient && s.requeue(j, v) {
+	if shouldRequeue(rec) && s.requeue(j, v) {
 		return
 	}
 	s.decide(j, v)
+}
+
+// shouldRequeue is the retry policy: the wait-for cause feeding back
+// into scheduling. A run that completed with no report leaves nothing
+// to redo, and a structural hang (a deadlock cycle, a collective
+// mismatch) reproduces on every deterministic re-run, so both are
+// decided at once. Everything else is plausibly transient and worth a
+// bounded requeue: a straggler chain or lost message, an unknown or
+// missing diagnosis, a panicked worker or an open circuit (which have
+// no result at all).
+func shouldRequeue(rec sweep.Record) bool {
+	r := rec.Result
+	if rec.Status != sweep.StatusOK || r == nil {
+		return true
+	}
+	if r.Completed && !r.Detected && !r.FalsePositive {
+		return false
+	}
+	switch waitfor.Cause(r.Cause) {
+	case waitfor.CauseDeadlock, waitfor.CauseCollectiveMismatch:
+		return false
+	}
+	return true
 }
 
 // requeue schedules one more attempt for j after its deterministic

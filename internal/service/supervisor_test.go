@@ -14,6 +14,7 @@ import (
 	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/experiment"
 	"parastack/internal/results"
+	"parastack/internal/sweep"
 )
 
 // The backoff schedule is a pure function of (policy, key, attempt):
@@ -59,30 +60,38 @@ func TestRetryPolicyDelayDeterministic(t *testing.T) {
 	}
 }
 
-// The cause → retry-class mapping is policy, pinned by table: the
-// structural causes fail fast, everything else is worth another try.
-func TestRetryClassForCause(t *testing.T) {
+// The requeue predicate is policy, pinned by table: structural causes
+// and clean completions are decided at once, everything else — every
+// other cause, no cause, a false alarm, a failed attempt — is worth
+// another try.
+func TestShouldRequeue(t *testing.T) {
+	hung := func(cause waitfor.Cause) sweep.Record {
+		res := hangResult(string(cause))
+		res.Detected = true
+		return sweep.Record{Status: sweep.StatusOK, Result: &res}
+	}
 	cases := []struct {
-		cause string
-		want  detect.RetryClass
+		name string
+		rec  sweep.Record
+		want bool
 	}{
-		{string(waitfor.CauseDeadlock), detect.RetryNever},
-		{string(waitfor.CauseCollectiveMismatch), detect.RetryNever},
-		{string(waitfor.CauseStragglerChain), detect.RetryTransient},
-		{string(waitfor.CauseLostMessage), detect.RetryTransient},
-		{string(waitfor.CauseUnknown), detect.RetryTransient},
-		{"", detect.RetryTransient},
+		{"deadlock", hung(waitfor.CauseDeadlock), false},
+		{"collective-mismatch", hung(waitfor.CauseCollectiveMismatch), false},
+		{"straggler-chain", hung(waitfor.CauseStragglerChain), true},
+		{"lost-message", hung(waitfor.CauseLostMessage), true},
+		{"unknown", hung(waitfor.CauseUnknown), true},
+		{"empty cause", hung(""), true},
+		{"completed cleanly", sweep.Record{Status: sweep.StatusOK,
+			Result: &experiment.RunResult{Completed: true}}, false},
+		{"completed with a false positive", sweep.Record{Status: sweep.StatusOK,
+			Result: &experiment.RunResult{Completed: true, FalsePositive: true, Report: &detect.Report{}}}, true},
+		{"hung with no report", sweep.Record{Status: sweep.StatusOK,
+			Result: &experiment.RunResult{}}, true},
+		{"failed attempt", sweep.Record{Status: sweep.StatusFailed, Error: "run panicked"}, true},
 	}
 	for _, c := range cases {
-		if got := detect.RetryClassForCause(c.cause); got != c.want {
-			t.Errorf("RetryClassForCause(%q) = %v, want %v", c.cause, got, c.want)
-		}
-	}
-	for class, want := range map[detect.RetryClass]string{
-		detect.RetryNone: "none", detect.RetryNever: "never", detect.RetryTransient: "transient",
-	} {
-		if class.String() != want {
-			t.Errorf("RetryClass(%d).String() = %q, want %q", class, class.String(), want)
+		if got := shouldRequeue(c.rec); got != c.want {
+			t.Errorf("%s: shouldRequeue = %t, want %t", c.name, got, c.want)
 		}
 	}
 }

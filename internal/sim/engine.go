@@ -260,7 +260,7 @@ func (e *Engine) Seed() int64 { return e.seed }
 // SetParallel selects windowed (conservative parallel-DES) execution
 // with the given worker count; 0 restores serial execution. Windowed
 // execution also requires a positive lookahead (SetLookahead) — without
-// one Run falls back to the serial loop. workers == 1 runs the windowed
+// one Run fires events one at a time. workers == 1 runs the windowed
 // algorithm on the coordinator goroutine alone: on a single-core host
 // that is the fast configuration (the speedup comes from shard-local
 // batching, not concurrency), while workers > 1 executes a window's
@@ -653,37 +653,14 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // case; callers can inspect LiveProcs to distinguish it from normal
 // completion.
 //
-// With SetParallel(n>0) and a positive SetLookahead, Run uses the
-// windowed conservative executor; results are bit-identical to the
-// serial loop.
-func (e *Engine) Run(until Time) Time {
-	if e.workers > 0 && e.lookahead > 0 {
-		return e.runWindowed(until)
-	}
-	return e.runSerial(until)
-}
-
-func (e *Engine) runSerial(until Time) Time {
-	e.stopped = false
-	e.running = true
-	defer func() {
-		e.running = false
-		e.ctx = e.shards[0]
-		e.syncObs()
-	}()
-	for len(e.heads) > 0 && !e.stopped {
-		if until > 0 && e.heads[0].when > until {
-			e.now = until
-			return e.now
-		}
-		e.runOneStep()
-	}
-	return e.now
-}
+// With SetParallel(n>0) and a positive SetLookahead, Run executes in
+// conservative horizon windows; otherwise it fires one event at a
+// time. Both orders are bit-identical (see runWindowed, Run's loop).
+func (e *Engine) Run(until Time) Time { return e.runWindowed(until) }
 
 // runOneStep pops and fires the single earliest event in the system:
-// the serial loop's body, also used by the windowed executor whenever
-// the system shard holds the global minimum.
+// every step of a serial run, and a windowed run's step whenever the
+// system shard holds the global minimum.
 func (e *Engine) runOneStep() {
 	s := e.headsPopMin()
 	s.active = true

@@ -1,8 +1,10 @@
 package sim
 
-// runWindowed is the conservative parallel-DES executor. It partitions
-// execution into horizon windows: every window picks the globally
-// earliest pending event time tmin and a horizon
+// runWindowed is Run's only loop. On a serial engine (no workers or no
+// lookahead) it fires one event at a time through runOneStep. On a
+// parallel one it is the conservative parallel-DES executor: it
+// partitions execution into horizon windows, and every window picks the
+// globally earliest pending event time tmin and a horizon
 //
 //	H = min(tmin + lookahead, next system event, until+1)
 //
@@ -36,6 +38,10 @@ func (e *Engine) runWindowed(until Time) Time {
 		if until > 0 && tmin > until {
 			e.now = until
 			return e.now
+		}
+		if e.workers == 0 || e.lookahead == 0 {
+			e.runOneStep()
+			continue
 		}
 		if e.heads[0].s == sys {
 			// A system event holds the global minimum: run exactly it,

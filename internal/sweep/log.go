@@ -1,27 +1,13 @@
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 
 	"parastack/internal/experiment"
 	"parastack/internal/results"
 )
-
-// ErrClosed is returned by Write/Append on a Log that has been Closed.
-// It is a sentinel so callers racing a shutdown can distinguish "the
-// log is gone, drop the record or re-route it" from a real I/O failure
-// — before the closed flag existed, a late Write hit the closed
-// *os.File and surfaced a confusing "file already closed" error after
-// up to syncEvery-1 records had already been silently flushed away.
-// It aliases the shared results.ErrClosed sentinel, so one errors.Is
-// check covers every results sink (the JSONL log, the Merkle ledger).
-var ErrClosed = results.ErrClosed
 
 // SchemaVersion tags every results-log record; Load rejects logs
 // written by an incompatible schema. The record format is one JSON
@@ -62,187 +48,79 @@ type Record struct {
 	Result *experiment.RunResult `json:"result,omitempty"`
 }
 
-// Log is the durable JSONL results writer. Records are buffered and
-// fsync'd in batches (every SyncEvery records and on Close), bounding
-// both the syscall rate and the amount of work a crash can lose. Write
-// is safe for concurrent use by a sweep's workers.
-type Log struct {
-	mu        sync.Mutex
-	f         *os.File
-	bw        *bufio.Writer
-	sinceSync int
-	every     int
-	closed    bool
-}
+// logSyncEvery is the fsync batch size of the JSONL log a sweep writes
+// at Options.Out: records reach disk at least every 16 appends and on
+// Close, bounding both the syscall rate and what a crash can lose.
+const logSyncEvery = 16
 
-// defaultSyncEvery is the fsync batch size when Options leave it zero.
-const defaultSyncEvery = 16
-
-func openLog(path string, truncate bool, syncEvery int) (*Log, error) {
-	if syncEvery <= 0 {
-		syncEvery = defaultSyncEvery
-	}
-	flags := os.O_CREATE | os.O_WRONLY
-	if truncate {
-		flags |= os.O_TRUNC
-	} else {
-		flags |= os.O_APPEND
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &Log{f: f, bw: bufio.NewWriter(f), every: syncEvery}, nil
-}
-
-// CreateLog opens (truncating) a fresh results log at path.
-func CreateLog(path string, syncEvery int) (*Log, error) {
-	return openLog(path, true, syncEvery)
-}
-
-// AppendLog opens path for appending (the resume path), creating it if
-// absent.
-func AppendLog(path string, syncEvery int) (*Log, error) {
-	return openLog(path, false, syncEvery)
-}
-
-// Write marshals and appends one record, fsyncing if the batch is due.
-// It is the legacy entry point, kept as a thin adapter over Append —
-// the results.Sink method the sweep machinery now writes through.
-// Writing to a closed log returns ErrClosed without touching the file.
-func (l *Log) Write(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return l.Append(results.Record{Key: rec.Key, Payload: data})
-}
-
-// Append implements results.Sink: the payload — one already-marshaled
-// record — becomes one line of the JSONL log (the key is carried
-// inside the payload, so the log ignores rec.Key). Batched fsync and
-// the closed-log contract behave exactly as Write always did.
-func (l *Log) Append(rec results.Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, err := l.bw.Write(rec.Payload); err != nil {
-		return err
-	}
-	if err := l.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	l.sinceSync++
-	if l.sinceSync >= l.every {
-		l.sinceSync = 0
-		if err := l.bw.Flush(); err != nil {
-			return err
-		}
-		return l.f.Sync()
-	}
-	return nil
-}
-
-// Close flushes, fsyncs, and closes the log file. A second Close is a
-// no-op returning nil, so every exit path of a CLI can close the log
-// unconditionally without tracking which path got there first.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	flushErr := l.bw.Flush()
-	syncErr := l.f.Sync()
-	closeErr := l.f.Close()
-	if flushErr != nil {
-		return flushErr
-	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
-}
-
-// Load reads every record of a results log. A truncated final line
-// (the signature of a hard kill mid-write) is tolerated and dropped;
-// any other malformed or schema-mismatched line is an error, so silent
-// corruption cannot masquerade as completed work.
+// Load reads every record of a results log. A torn final line (no
+// trailing newline — the signature of a hard kill mid-write) is
+// dropped; any other malformed or schema-mismatched line is an error,
+// so silent corruption cannot masquerade as completed work. A missing
+// file is an error too (Resume treats it as an empty log).
 func Load(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	if _, err := os.Stat(path); err != nil {
+		return nil, err
+	}
+	lines, err := results.ReadJSONL(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var out []Record
-	r := bufio.NewReader(f)
-	line := 0
-	for {
-		data, err := r.ReadBytes('\n')
-		complete := err == nil
-		if len(bytes.TrimSpace(data)) > 0 {
-			line++
-			var rec Record
-			if uerr := json.Unmarshal(data, &rec); uerr != nil {
-				if !complete {
-					break // torn tail from a crash: resumable, drop it
-				}
-				return nil, fmt.Errorf("sweep: %s line %d: %w", path, line, uerr)
-			}
-			if rec.Schema != SchemaVersion {
-				return nil, fmt.Errorf("sweep: %s line %d: schema %q, want %q", path, line, rec.Schema, SchemaVersion)
-			}
-			out = append(out, rec)
+	return decodeRecords(path, lines)
+}
+
+// decodeRecords decodes and schema-checks raw payloads — a log's
+// non-empty lines or a sink's records — so every resume source applies
+// the same rules. Errors name src and the 1-based record number.
+func decodeRecords(src string, raw []results.Record) ([]Record, error) {
+	out := make([]Record, 0, len(raw))
+	for i, rr := range raw {
+		var rec Record
+		if err := json.Unmarshal(rr.Payload, &rec); err != nil {
+			return nil, fmt.Errorf("sweep: %s record %d: %w", src, i+1, err)
 		}
-		if err == io.EOF {
-			break
+		if rec.Schema != SchemaVersion {
+			return nil, fmt.Errorf("sweep: %s record %d: schema %q, want %q", src, i+1, rec.Schema, SchemaVersion)
 		}
-		if err != nil {
-			return nil, err
-		}
+		out = append(out, rec)
 	}
 	return out, nil
 }
 
-// loadPriorFromReader builds the resume index from any results.Reader
-// (the ledger, in practice): each payload is decoded and schema-checked
-// exactly as Load checks a JSONL line, and the last record per key
-// wins — so resuming against a ledger applies the same semantics as
-// resuming against the log it replaces.
-func loadPriorFromReader(r results.Reader) (map[string]Record, error) {
-	recs, err := r.Records()
-	if err != nil {
-		return nil, err
-	}
-	prior := make(map[string]Record, len(recs))
-	for i, rr := range recs {
-		var rec Record
-		if err := json.Unmarshal(rr.Payload, &rec); err != nil {
-			return nil, fmt.Errorf("sweep: sink record %d (key %q): %w", i, rr.Key, err)
-		}
-		if rec.Schema != SchemaVersion {
-			return nil, fmt.Errorf("sweep: sink record %d (key %q): schema %q, want %q", i, rr.Key, rec.Schema, SchemaVersion)
-		}
-		prior[rec.Key] = rec
-	}
-	return prior, nil
-}
-
-// loadPrior builds the resume index: last terminal record per key.
-func loadPrior(path string) (map[string]Record, error) {
-	recs, err := Load(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]Record{}, nil
-		}
-		return nil, err
-	}
+// priorIndex is the resume index: the last terminal record per key.
+func priorIndex(recs []Record) map[string]Record {
 	prior := make(map[string]Record, len(recs))
 	for _, r := range recs {
 		prior[r.Key] = r
 	}
-	return prior, nil
+	return prior
+}
+
+// loadPriorFromReader builds the resume index from any results.Reader
+// (the ledger, in practice), decoding payloads exactly as Load decodes
+// log lines — so resuming against a ledger applies the same semantics
+// as resuming against the log it replaces.
+func loadPriorFromReader(r results.Reader) (map[string]Record, error) {
+	raw, err := r.Records()
+	if err != nil {
+		return nil, err
+	}
+	recs, err := decodeRecords("sink", raw)
+	if err != nil {
+		return nil, err
+	}
+	return priorIndex(recs), nil
+}
+
+// loadPrior builds the resume index from the log at path; a missing
+// log is an empty index.
+func loadPrior(path string) (map[string]Record, error) {
+	recs, err := Load(path)
+	if os.IsNotExist(err) {
+		return map[string]Record{}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return priorIndex(recs), nil
 }

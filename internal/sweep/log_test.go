@@ -1,39 +1,56 @@
 package sweep
 
 import (
-	"errors"
+	"context"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
-func TestLogClosedState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "r.jsonl")
-	l, err := CreateLog(path, 4)
+// A fresh (non-resume) Run over an existing log starts the log over:
+// only this run's records remain, not the earlier run's.
+func TestFreshRunTruncatesExistingLog(t *testing.T) {
+	spec := testSpec()
+	log := filepath.Join(t.TempDir(), "sweep.jsonl")
+	stale := validLine("stale-cell", 99) + "\n" + validLine("other-stale-cell", 98) + "\n"
+	if err := os.WriteFile(log, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), spec, Options{Run: fakeRun, Out: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Write(Record{Schema: SchemaVersion, Key: "a", Status: StatusOK}); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	// Write after Close is the shutdown race; it must be the sentinel,
-	// not a raw "file already closed" I/O error.
-	if err := l.Write(Record{Schema: SchemaVersion, Key: "b"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("write-after-close error = %v, want ErrClosed", err)
-	}
-	// Close is idempotent so every CLI exit path can close unconditionally.
-	if err := l.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	// The record written before Close survived; the rejected one did not.
-	recs, err := Load(path)
+	recs, err := Load(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Key != "a" {
-		t.Fatalf("log holds %+v, want exactly the pre-close record", recs)
+	if len(recs) != out.Total {
+		t.Fatalf("log holds %d records, want this run's %d", len(recs), out.Total)
+	}
+	for _, r := range recs {
+		if r.Key == "stale-cell" || r.Key == "other-stale-cell" {
+			t.Fatalf("fresh run kept the earlier run's record %q", r.Key)
+		}
+	}
+}
+
+// Load insists the log exists; Resume treats a missing log as empty
+// and runs the whole grid, creating the log as it goes.
+func TestMissingLogLoadVersusResume(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "absent.jsonl")
+	if _, err := Load(log); !os.IsNotExist(err) {
+		t.Fatalf("Load(missing) error = %v, want not-exist", err)
+	}
+	out, err := Resume(context.Background(), log, testSpec(), Options{Run: fakeRun})
+	if err != nil {
+		t.Fatalf("Resume(missing): %v", err)
+	}
+	if out.Skipped != 0 || !out.Complete() {
+		t.Fatalf("Resume(missing): skipped=%d complete=%t, want a full fresh run", out.Skipped, out.Complete())
+	}
+	recs, err := Load(log)
+	if err != nil || len(recs) != out.Total {
+		t.Fatalf("log after Resume(missing) = %d records, %v; want %d", len(recs), err, out.Total)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -67,8 +68,6 @@ type Options struct {
 	// sink itself, which is what makes a shared ledger a cross-sweep
 	// results cache (identical cells dedup instead of re-executing).
 	Resume bool
-	// SyncEvery is the log's fsync batch size (0 = 16).
-	SyncEvery int
 	// MaxRuns stops dispatching new runs after this many executions —
 	// the deterministic stand-in for a mid-sweep crash used by `make
 	// sweep-smoke` and the resume tests (0 = unbounded).
@@ -130,15 +129,15 @@ func (o Options) openSink() (sink results.Sink, owned bool, prior map[string]Rec
 	if o.Out == "" {
 		return nil, false, prior, nil
 	}
-	var log *Log
 	if o.Resume {
-		if prior, err = loadPrior(o.Out); err != nil {
-			return nil, false, nil, err
-		}
-		log, err = AppendLog(o.Out, o.SyncEvery)
-	} else {
-		log, err = CreateLog(o.Out, o.SyncEvery)
+		prior, err = loadPrior(o.Out)
+	} else if err = os.Truncate(o.Out, 0); os.IsNotExist(err) {
+		err = nil // a fresh run over no log: OpenJSONL creates it
 	}
+	if err != nil {
+		return nil, false, nil, err
+	}
+	log, err := results.OpenJSONL(o.Out, logSyncEvery)
 	if err != nil {
 		return nil, false, nil, err
 	}

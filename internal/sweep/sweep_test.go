@@ -76,7 +76,7 @@ func TestKillAndResume(t *testing.T) {
 	want := aggregateJSON(t, straight)
 
 	log := filepath.Join(t.TempDir(), "sweep.jsonl")
-	half, err := Run(ctx, spec, Options{Run: fakeRun, Workers: 2, Out: log, MaxRuns: straight.Total / 2, SyncEvery: 1})
+	half, err := Run(ctx, spec, Options{Run: fakeRun, Workers: 2, Out: log, MaxRuns: straight.Total / 2})
 	if err != nil {
 		t.Fatalf("halted run: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestKillAndResumeRealRuns(t *testing.T) {
 	want := aggregateJSON(t, straight)
 
 	log := filepath.Join(t.TempDir(), "sweep.jsonl")
-	if _, err := Run(ctx, spec, Options{Out: log, MaxRuns: 2, SyncEvery: 1}); err != nil {
+	if _, err := Run(ctx, spec, Options{Out: log, MaxRuns: 2}); err != nil {
 		t.Fatalf("halted run: %v", err)
 	}
 	resumed, err := Resume(ctx, log, spec, Options{})
@@ -281,7 +281,7 @@ func TestCancellation(t *testing.T) {
 func TestLoadTornTail(t *testing.T) {
 	spec := testSpec()
 	log := filepath.Join(t.TempDir(), "sweep.jsonl")
-	if _, err := Run(context.Background(), spec, Options{Run: fakeRun, Out: log, SyncEvery: 1}); err != nil {
+	if _, err := Run(context.Background(), spec, Options{Run: fakeRun, Out: log}); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := Load(log)
@@ -366,7 +366,7 @@ func TestOrchestratorCampaignResume(t *testing.T) {
 	}
 
 	log := filepath.Join(t.TempDir(), "campaign.jsonl")
-	halted, err := NewOrchestrator(ctx, mkOpts(Options{Out: log, MaxRuns: 3, SyncEvery: 1}))
+	halted, err := NewOrchestrator(ctx, mkOpts(Options{Out: log, MaxRuns: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
