@@ -10,24 +10,25 @@
 //
 //	parastackd -socket /run/parastackd.sock
 //	parastackd -listen 127.0.0.1:7117 -http 127.0.0.1:7118
-//	parastackd -socket /tmp/psd.sock -workers 8 -max-jobs 4096 -retries 0
+//	parastackd -socket /tmp/psd.sock -workers 8 -max-jobs 4096 -retry-max 1
 //	parastackd -socket /tmp/psd.sock -journal /var/lib/psd/journal.jsonl -retry-max 3
 //
 // Submit with any line-oriented client:
 //
 //	{"op":"submit","job":{"id":"j1","bench":"CG","class":"D","procs":64,"platform":"tardis","fault":"computation","seed":3}}
 //	{"op":"wait","id":"j1","timeout_ms":60000}
-//	{"op":"verdicts"}
+//	{"op":"verdicts","after":0,"limit":100}
 //
 // With -journal the daemon is crash-safe: every accepted job is
 // appended (fsynced) to the journal before the client sees success,
 // and a restart with the same journal re-installs decided verdicts and
 // re-runs open jobs — exactly one verdict per job, bit-identical to an
 // uninterrupted run. -retry-max/-retry-base, -job-deadline, and
-// -breaker-threshold/-breaker-cooldown tune the supervisor: transient
-// failures (panicked workers, open shard circuits, plausibly-transient
-// hang causes) are requeued with deterministic backoff; structural
-// hangs (deadlock, collective mismatch) are never retried.
+// -breaker-threshold/-breaker-cooldown tune the supervisor: a failed
+// attempt (a panicked run, or a dispatch bounced by an open shard
+// circuit) is requeued with deterministic backoff, by default once. A
+// run that returns a verdict, hang or not, is never re-run: a
+// simulation is deterministic, so a re-run would return the same one.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: intake is rejected,
 // the ingest batcher flushes, every in-flight run completes, pending
@@ -58,7 +59,6 @@ import (
 	"parastack/internal/obs"
 	"parastack/internal/results"
 	"parastack/internal/service"
-	"parastack/internal/sweep"
 )
 
 // sinkOrNil keeps a nil *ledger.Ledger from becoming a non-nil
@@ -92,10 +92,9 @@ func run() int {
 	maxJobs := flag.Int("max-jobs", 0, "residency quota: max undecided jobs (0 = 1024)")
 	batch := flag.Int("batch", 0, "ingest batch size (0 = 16)")
 	batchDelay := flag.Duration("batch-delay", 0, "ingest batch flush deadline (0 = 2ms)")
-	retries := flag.Int("retries", 1, "retries for a panicking run (0 = none)")
 	ledgerDir := flag.String("ledger", "", "append every verdict to a tamper-evident Merkle ledger at this directory (verify with psverify -out DIR)")
 	journalPath := flag.String("journal", "", "durable admission journal (JSONL file): admits are journaled before the client sees success, and a restart with the same journal recovers open jobs exactly-once")
-	retryMax := flag.Int("retry-max", 1, "max executions per job, initial dispatch included (1 = never requeue)")
+	retryMax := flag.Int("retry-max", 2, "max executions per job, initial dispatch included (1 = never requeue a failed attempt)")
 	retryBase := flag.Duration("retry-base", 0, "base requeue backoff, doubling per attempt (0 = 50ms)")
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job admission-to-verdict deadline for simulation jobs (0 = unbounded)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive run failures that trip a shard's circuit breaker (0 = 5, negative = disabled)")
@@ -149,7 +148,6 @@ func run() int {
 		MaxJobs:          *maxJobs,
 		BatchSize:        *batch,
 		BatchDelay:       *batchDelay,
-		Retries:          sweep.LiteralRetries(*retries),
 		Recorder:         rec,
 		Sink:             sinkOrNil(led),
 		Journal:          journalOrNil(jnl),

@@ -16,7 +16,8 @@ import (
 // race detector, starts it on a unix socket, drives three jobs through
 // the wire protocol — an injected computation hang, a clean run, and an
 // external Scrout stream that goes silent — asserts all three verdicts,
-// and checks that SIGTERM produces a graceful zero-exit drain.
+// pages the verdict listing through its cursor, and checks that SIGTERM
+// produces a graceful zero-exit drain.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon")
@@ -102,8 +103,25 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 
 	resp := must(service.Request{Op: service.OpVerdicts})
-	if len(resp.Verdicts) != 3 {
-		t.Fatalf("verdicts = %d, want 3", len(resp.Verdicts))
+	if len(resp.Verdicts) != 3 || resp.More {
+		t.Fatalf("verdicts = %d (more=%t), want 3 on one page", len(resp.Verdicts), resp.More)
+	}
+	// Page the same listing one verdict at a time through the cursor:
+	// more stays true until the last page, and the pages reassemble the
+	// whole listing in order.
+	var after int64
+	for i, want := range resp.Verdicts {
+		page := must(service.Request{Op: service.OpVerdicts, After: after, Limit: 1})
+		if len(page.Verdicts) != 1 || page.Verdicts[0].JobID != want.JobID {
+			t.Fatalf("page %d = %+v, want verdict %s", i, page.Verdicts, want.JobID)
+		}
+		if last := i == len(resp.Verdicts)-1; page.More == last {
+			t.Fatalf("page %d: more = %t, want %t", i, page.More, !last)
+		}
+		after = page.Verdicts[0].Seq
+	}
+	if tail := must(service.Request{Op: service.OpVerdicts, After: after, Limit: 1}); len(tail.Verdicts) != 0 || tail.More {
+		t.Fatalf("page past the end = %+v, want empty", tail)
 	}
 
 	// Graceful shutdown: SIGTERM must drain and exit zero.

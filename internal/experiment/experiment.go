@@ -72,31 +72,20 @@ type RunConfig struct {
 	// monitored-rank death, sampling-clock jitter, and — when the
 	// profile schedules one — a monitor crash followed by a
 	// Snapshot/RestoreMonitor failover. All chaos randomness derives
-	// from Seed, so runs stay seed-deterministic. Applies to the legacy
+	// from Seed, so runs stay seed-deterministic. Applies to the
 	// Monitor slot.
 	Chaos *chaos.Profile
 
-	// Monitor attaches ParaStack when non-nil. Monitor, Timeout, and
-	// Watchdog are the legacy hard-wired detector slots, kept working
-	// for compatibility (and still feeding RunResult.Report /
-	// RunResult.TimeoutReport); new code attaching detectors should
-	// prefer the uniform ExtraDetectors path.
+	// Monitor attaches ParaStack when non-nil; its verdict lands in
+	// RunResult.Report.
 	Monitor *core.Config
-	// Timeout attaches the fixed-(I,K) baseline when non-nil (legacy
-	// slot; see Monitor).
+	// Timeout attaches the fixed-(I,K) baseline when non-nil; its
+	// verdict lands in RunResult.TimeoutReport.
 	Timeout *timeout.Config
-	// Watchdog attaches the activity watchdog when nonzero (legacy
-	// slot; see Monitor).
+	// Watchdog attaches the activity watchdog when nonzero; its verdict
+	// lands in RunResult.TimeoutReport unless the fixed-(I,K) baseline
+	// also reported.
 	Watchdog time.Duration
-
-	// ExtraDetectors attaches any number of additional detectors
-	// uniformly: each factory is invoked against the run's world just
-	// before launch, its detector is Started, and its verdict lands in
-	// RunResult.Extra under the detector's Name. Extra verdicts count
-	// toward Detected/FalsePositive only when no legacy detector
-	// reported (ParaStack first, then the fixed-(I,K) baseline, then
-	// the earliest extra report).
-	ExtraDetectors []DetectorFactory
 
 	// ProbeSout records the exact full-population Sout at this interval
 	// when nonzero (Figures 2 and 3).
@@ -143,9 +132,6 @@ type RunResult struct {
 	Report *core.Report
 	// TimeoutReport is the fixed-(I,K) baseline's verdict (nil if none).
 	TimeoutReport *timeout.Report
-	// Extra holds the verdicts of RunConfig.ExtraDetectors, in
-	// attachment order (a nil Report means that detector stayed quiet).
-	Extra []NamedReport
 
 	// Cause is the root-cause label the wait-for analysis diagnosed
 	// after the verdict ("" when no diagnosis ran — no verdict, or the
@@ -327,18 +313,6 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 		wd = timeout.NewWatchdog(w, rc.Watchdog)
 		wd.Start()
 	}
-	var extras []Detector
-	for _, mk := range rc.ExtraDetectors {
-		if mk == nil {
-			continue
-		}
-		d := mk(DetectorEnv{World: w, Cluster: cluster, Recorder: rec})
-		if d == nil {
-			continue
-		}
-		d.Start()
-		extras = append(extras, d)
-	}
 	var soutPts *[]core.SoutPoint
 	if rc.ProbeSout > 0 {
 		soutPts = core.ProbeSout(w, rc.ProbeSout, 0)
@@ -367,9 +341,6 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 	}
 	if wd != nil && wd.Report() != nil && res.TimeoutReport == nil {
 		res.TimeoutReport = wd.Report()
-	}
-	for _, d := range extras {
-		res.Extra = append(res.Extra, NamedReport{Name: d.Name(), Report: d.Report()})
 	}
 	if soutPts != nil {
 		res.Sout = *soutPts
@@ -440,24 +411,14 @@ func (rn *Runner) Run(rc RunConfig) RunResult {
 }
 
 // firstReport returns the run's winning verdict in detector-priority
-// order — ParaStack, then the fixed-(I,K)/watchdog slot, then the
-// earliest extra report. It alone decides which report diagnosis
-// annotates and whether a run counts as Detected or FalsePositive; nil
-// when every detector stayed quiet.
+// order — ParaStack, then the fixed-(I,K)/watchdog slot. It alone
+// decides which report diagnosis annotates and whether a run counts as
+// Detected or FalsePositive; nil when every detector stayed quiet.
 func firstReport(res *RunResult) *core.Report {
 	if res.Report != nil {
 		return res.Report
 	}
-	if res.TimeoutReport != nil {
-		return res.TimeoutReport
-	}
-	var best *core.Report
-	for _, nr := range res.Extra {
-		if nr.Report != nil && (best == nil || nr.Report.DetectedAt < best.DetectedAt) {
-			best = nr.Report
-		}
-	}
-	return best
+	return res.TimeoutReport
 }
 
 // Campaign runs n copies of base with seeds seed0, seed0+1, … in

@@ -7,11 +7,8 @@ import (
 
 	"parastack/internal/core"
 	"parastack/internal/fault"
-	"parastack/internal/mpi"
 	"parastack/internal/noise"
-	"parastack/internal/sim"
 	"parastack/internal/timeout"
-	"parastack/internal/topology"
 	"parastack/internal/workload"
 )
 
@@ -252,64 +249,6 @@ func TestDeadlockCampaignAggregate(t *testing.T) {
 		}
 		if r.Precision != 0 {
 			t.Fatalf("deadlock run %d has Precision %v, want 0", r.Seed, r.Precision)
-		}
-	}
-}
-
-func TestExtraDetectors(t *testing.T) {
-	res := Run(RunConfig{
-		Params:    smallParams(),
-		Platform:  noise.Tardis(),
-		PPN:       8,
-		Seed:      2,
-		FaultKind: fault.ComputationHang,
-		ExtraDetectors: []DetectorFactory{
-			MonitorDetector(core.Config{}),
-			WatchdogDetector(30 * time.Second),
-			func(DetectorEnv) Detector { return nil }, // nil factory result is skipped
-		},
-	})
-	if !res.Injected {
-		t.Fatal("fault not injected")
-	}
-	if len(res.Extra) != 2 {
-		t.Fatalf("Extra holds %d reports, want 2 (nil factory skipped): %+v", len(res.Extra), res.Extra)
-	}
-	if res.Extra[0].Name != "parastack" || res.Extra[1].Name != "watchdog" {
-		t.Fatalf("detector names = %q, %q", res.Extra[0].Name, res.Extra[1].Name)
-	}
-	if res.Extra[0].Report == nil {
-		t.Fatal("extra-attached monitor produced no report on a hung run")
-	}
-	// With no legacy detector slots, the verdict falls to the earliest
-	// extra report.
-	if !res.Detected {
-		t.Fatal("extra detector's report did not drive the run verdict")
-	}
-	if res.Report != nil {
-		t.Fatal("legacy Report field set by an extra detector")
-	}
-}
-
-func TestDetectorInterfaceSatisfied(t *testing.T) {
-	// The three concrete detectors must satisfy the unified interface
-	// and report distinct names.
-	eng := sim.NewEngine(1)
-	w := mpi.NewWorld(eng, 16, noise.Tardis().Latency())
-	cluster := topology.New(2, 8, 1)
-	ds := []Detector{
-		core.New(w, cluster, core.Config{}),
-		timeout.NewFixedIK(w, cluster, timeout.Config{}),
-		timeout.NewWatchdog(w, time.Minute),
-	}
-	seen := map[string]bool{}
-	for _, d := range ds {
-		if d.Name() == "" || seen[d.Name()] {
-			t.Fatalf("detector name %q empty or duplicated", d.Name())
-		}
-		seen[d.Name()] = true
-		if d.Report() != nil {
-			t.Fatalf("%s reports a hang before starting", d.Name())
 		}
 	}
 }

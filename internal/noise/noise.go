@@ -116,18 +116,6 @@ func Lookup(name string) (Profile, error) {
 // Names lists the known platform names.
 func Names() []string { return []string{"tardis", "tianhe2", "stampede"} }
 
-// ByName returns the named profile; it panics on an unknown name.
-//
-// Deprecated: use Lookup, which reports unknown names as an error
-// instead of a stack trace.
-func ByName(name string) Profile {
-	p, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Latency returns the platform's point-to-point and collective latency
 // model: the package defaults scaled by CommSpeed (zero or negative
 // CommSpeed means 1.0).

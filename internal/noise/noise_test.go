@@ -10,17 +10,14 @@ import (
 
 func TestProfilesByName(t *testing.T) {
 	for _, name := range []string{"tardis", "tianhe2", "stampede"} {
-		p := ByName(name)
-		if p.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, p.Name)
+		p, err := Lookup(name)
+		if err != nil || p.Name != name {
+			t.Fatalf("Lookup(%q) = %q, %v", name, p.Name, err)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown platform must panic")
-		}
-	}()
-	ByName("summit")
+	if _, err := Lookup("summit"); err == nil {
+		t.Fatal("unknown platform must be an error")
+	}
 }
 
 func TestSpeedDividesCompute(t *testing.T) {

@@ -54,7 +54,7 @@ func accuracyBenches(platform string, scale int) []struct{ name, class string } 
 // 256 (Tardis), 50 at 1024 (Tianhe-2), 20 at 1024 (Stampede).
 func AccuracyCampaign(platform string, scale int, opt Options) []AccuracyCell {
 	opt = opt.withDefaults(5)
-	prof, ppn := platformWorld(platform, scale)
+	prof, ppn := platformWorld(platform)
 	var cells []AccuracyCell
 	for bi, b := range accuracyBenches(platform, scale) {
 		params := workload.MustLookup(b.name, b.class, scale)
@@ -168,7 +168,7 @@ func FalsePositiveStudy(w io.Writer, opt Options) (totalRuns, falsePositives int
 			fmt.Fprintf(w, "  %s@%d skipped (MaxScale %d)\n", c.platform, c.scale, opt.MaxScale)
 			continue
 		}
-		prof, ppn := platformWorld(c.platform, c.scale)
+		prof, ppn := platformWorld(c.platform)
 		for bi, b := range accuracyBenches(c.platform, c.scale) {
 			params := workload.MustLookup(b.name, b.class, c.scale)
 			rs := opt.campaign(experiment.RunConfig{
@@ -218,7 +218,7 @@ func Table9(w io.Writer, opt Options) []Table9Row {
 	fmt.Fprintf(w, "Table 9: default P (I0=400ms) vs P* (I0=10ms), scale 256, %d runs each\n", opt.Runs)
 	fmt.Fprintf(w, "%-20s | %-26s | %-26s\n", "config", "P: AC FP D", "P*: AC FP D")
 	for ci, c := range configs {
-		prof, ppn := platformWorld(c.Platform, 256)
+		prof, ppn := platformWorld(c.Platform)
 		params := workload.MustLookup(c.Bench, c.Class, 256)
 		run := func(initial time.Duration, off int64) experiment.Metrics {
 			rs := opt.campaign(experiment.RunConfig{
@@ -255,7 +255,7 @@ func ScaleStudy(w io.Writer, opt Options) []AccuracyCell {
 			fmt.Fprintf(w, "  %s@%d skipped (MaxScale %d)\n", bench, scale, opt.MaxScale)
 			return
 		}
-		prof, ppn := platformWorld(platform, scale)
+		prof, ppn := platformWorld(platform)
 		params := workload.MustLookup(bench, class, scale)
 		rs := opt.campaign(experiment.RunConfig{
 			Params:    params,

@@ -47,7 +47,7 @@ var causeBenches = []struct{ name, class string }{
 // (Metrics.CauseAccuracy).
 func CauseCampaign(platform string, scale int, opt Options) []CauseCell {
 	opt = opt.withDefaults(3)
-	prof, ppn := platformWorld(platform, scale)
+	prof, ppn := platformWorld(platform)
 	var cells []CauseCell
 	for bi, b := range causeBenches {
 		params := workload.MustLookup(b.name, b.class, scale)

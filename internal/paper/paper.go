@@ -84,10 +84,14 @@ func (o Options) withDefaults(defRuns int) Options {
 	return o
 }
 
-// platformScale returns the rank count and noise profile for a named
-// platform the way the paper allocates them.
-func platformWorld(name string, procs int) (noise.Profile, int) {
-	prof := noise.ByName(name)
+// platformWorld returns a named platform's noise profile and the
+// processes-per-node layout the paper used on it. It panics on an
+// unknown name: every caller passes one of the paper's platforms.
+func platformWorld(name string) (noise.Profile, int) {
+	prof, err := noise.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
 	return prof, prof.DefaultPPN
 }
 
@@ -142,7 +146,7 @@ func Table1(w io.Writer, opt Options) []Table1Row {
 	for _, ik := range iks {
 		row := Table1Row{I: ik.I, K: ik.K}
 		for ci, c := range Table1Configs {
-			prof, ppn := platformWorld(c.Platform, 256)
+			prof, ppn := platformWorld(c.Platform)
 			params := workload.MustLookup(c.Bench, c.Class, 256)
 			rs := opt.campaign(experiment.RunConfig{
 				Params:    params,
@@ -238,7 +242,7 @@ var perfBenches1024 = []struct{ name, class string }{
 // perfTable runs the clean / I=100ms / I=400ms comparison on one
 // platform and scale. The paper disables interval adaptation here.
 func perfTable(w io.Writer, title, platform string, scale int, benches []struct{ name, class string }, opt Options) []PerfResult {
-	prof, ppn := platformWorld(platform, scale)
+	prof, ppn := platformWorld(platform)
 	prof.SlowdownProb = 0 // overhead study: keep runs clean
 	settings := []struct {
 		label string

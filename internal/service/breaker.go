@@ -14,11 +14,11 @@ const (
 
 // breaker is one shard's circuit breaker. Simulation dispatch consults
 // it before handing a job to the worker pool: after Threshold
-// consecutive run failures (panicking workers) the breaker opens and
-// the shard's jobs are bounced back to the supervisor as
-// transient-infra failures — requeued with backoff instead of fed to a
-// poisoned shard, so one bad shard cannot eat the whole pool's
-// workers. After Cooldown the breaker goes half-open and admits
+// consecutive failed executions (panicked runs) of the jobs hashed to
+// its shard, the breaker opens and the shard's jobs are bounced back
+// to the supervisor as failed attempts — requeued with backoff instead
+// of dispatched. The shards share the pool's workers, so the count is
+// per shard, not per worker. After Cooldown the breaker goes half-open and admits
 // exactly one probe job; the probe's outcome closes the breaker
 // (success) or re-opens it for another cooldown (failure).
 //

@@ -329,7 +329,7 @@ func TestRecoverExactlyOnce(t *testing.T) {
 	// Exactly one verdict per job, bit-identical to the uninterrupted
 	// run modulo timing fields (Seq depends on completion order of the
 	// recovered pair, IngestUS on wall clock).
-	bv, cv := svcB.Verdicts(), svcC.Verdicts()
+	bv, cv := allVerdicts(t, svcB), allVerdicts(t, svcC)
 	if len(bv) != 4 || len(cv) != 4 {
 		t.Fatalf("verdicts: B=%d C=%d, want 4 each", len(bv), len(cv))
 	}

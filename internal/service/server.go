@@ -169,11 +169,16 @@ func (srv *Server) dispatch(req Request) Response {
 		resp.Verdict = &v
 
 	case OpVerdicts:
-		resp.OK = true
-		resp.Verdicts = srv.svc.Verdicts()
-		if resp.Verdicts == nil {
-			resp.Verdicts = []Verdict{}
+		if req.After < 0 {
+			resp.Error = "after must be a non-negative verdict seq"
+			break
 		}
+		if req.Limit < 0 {
+			resp.Error = "limit must be a positive integer"
+			break
+		}
+		resp.OK = true
+		resp.Verdicts, resp.More = srv.svc.VerdictsPage(req.After, req.Limit)
 
 	case OpStats:
 		resp.OK = true

@@ -78,8 +78,19 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 
 	resp, err = cl.Do(Request{Op: OpVerdicts})
-	if err != nil || !resp.OK || len(resp.Verdicts) != 1 {
+	if err != nil || !resp.OK || len(resp.Verdicts) != 1 || resp.More {
 		t.Fatalf("verdicts: %+v err=%v", resp, err)
+	}
+	// The listing pages like GET /verdicts, and rejects the cursors the
+	// HTTP surface rejects.
+	resp, err = cl.Do(Request{Op: OpVerdicts, After: resp.Verdicts[0].Seq})
+	if err != nil || !resp.OK || len(resp.Verdicts) != 0 || resp.More {
+		t.Fatalf("verdicts past the last seq: %+v err=%v", resp, err)
+	}
+	for _, bad := range []Request{{Op: OpVerdicts, After: -1}, {Op: OpVerdicts, Limit: -3}} {
+		if resp, _ := cl.Do(bad); resp.OK || resp.Error == "" {
+			t.Fatalf("verdicts with after=%d limit=%d = %+v, want error", bad.After, bad.Limit, resp)
+		}
 	}
 
 	resp, err = cl.Do(Request{Op: OpStats})

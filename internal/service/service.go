@@ -9,7 +9,7 @@
 //	    (size+deadline flush) ──► router ──► per-shard bounded
 //	    queues ──► shard loops ──► sweep.Pool workers
 //	    (per-worker experiment.Runner) / StreamMonitor feeds ──►
-//	    verdict store ──► Verdict / Verdicts queries
+//	    verdict store ──► Verdict / VerdictsPage queries
 //
 // Every stage is bounded, and saturation propagates backwards: busy
 // workers stall the shard loops, full shard queues stall the router,
@@ -58,8 +58,7 @@ const (
 
 	// Supervision counters (journal, recovery, retries, breakers).
 	CtrJobsRecovered   = "service.jobs_recovered"   // open jobs re-admitted by a journal replay
-	CtrJobRetries      = "service.retries"          // transient-infra re-dispatches scheduled (panic, circuit open)
-	CtrJobRequeues     = "service.requeues"         // cause-driven requeues of transient hang verdicts
+	CtrJobRetries      = "service.retries"          // re-dispatches of failed attempts (panic, circuit open)
 	CtrBreakerTrips    = "service.breaker_trips"    // shard circuit breakers tripped open
 	CtrJournalAppends  = "service.journal_appends"  // admission/verdict journal records written
 	CtrJournalErrors   = "service.journal_errors"   // journal append failures
@@ -114,10 +113,6 @@ type Config struct {
 	BatchSize int
 	// BatchDelay flushes a partial batch after this long (0 = 2ms).
 	BatchDelay time.Duration
-	// Retries is re-execution of panicking runs, in the sweep.Options
-	// encoding (0 = default 1, negative = none; see
-	// sweep.LiteralRetries).
-	Retries int
 	// Recorder receives the service counters (nil = a private
 	// metrics-only recorder). Access is serialized by the service.
 	Recorder obs.Recorder
@@ -142,11 +137,11 @@ type Config struct {
 	// one; the sink's lifecycle belongs to the caller (close after
 	// Drain).
 	Journal results.Sink
-	// Retry is the supervisor's requeue policy for transient outcomes —
-	// panicked workers, open shard circuits, and hang verdicts whose
-	// wait-for cause is plausibly transient (straggler chains, lost
-	// messages, unknown). Structural causes (deadlock, collective
-	// mismatch) are never requeued. The zero value never requeues.
+	// Retry is the supervisor's requeue policy for failed attempts — a
+	// panicked run or a dispatch bounced by an open shard circuit. A run
+	// that returns a result is decided on that attempt, hang or not: a
+	// simulation is deterministic, so a re-run would return the same
+	// verdict. The zero value never requeues.
 	Retry RetryPolicy
 	// JobDeadline, when positive, bounds each simulation job's
 	// admission-to-verdict time; on expiry the job is failed in place
@@ -230,7 +225,7 @@ type job struct {
 }
 
 // Service is the multi-tenant detection engine. Construct with New,
-// feed with Submit/Feed, query with Verdict/Verdicts, and shut down
+// feed with Submit/Feed, query with Verdict/VerdictsPage, and shut down
 // with Drain (graceful) or Close.
 type Service struct {
 	cfg      Config
@@ -268,10 +263,8 @@ func New(cfg Config) *Service {
 		s.journal = &journal{sink: cfg.Journal}
 	}
 	s.pool = sweep.NewPool(sweep.Options{
-		Workers:  cfg.Workers,
-		Retries:  cfg.Retries,
-		Recorder: obs.New(nil), // pool counters are internal; service counters are the surface
-		Run:      cfg.Run,
+		Workers: cfg.Workers,
+		Run:     cfg.Run,
 	})
 	s.breakers = newBreakers(cfg.Shards, cfg.BreakerThreshold, cfg.BreakerCooldown)
 	s.shards = make([]chan envelope, cfg.Shards)
@@ -620,21 +613,6 @@ func (s *Service) Wait(ctx context.Context, jobID string) (Verdict, error) {
 	case <-ctx.Done():
 		return Verdict{}, ctx.Err()
 	}
-}
-
-// Verdicts returns every decided job's verdict in decision order —
-// unbounded, for in-process callers (drain summaries, tests). The
-// HTTP surface never serves this directly: it pages through
-// VerdictsPage so a long-running daemon cannot OOM a scraper.
-func (s *Service) Verdicts() []Verdict {
-	s.mu.Lock()
-	out := make([]Verdict, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.decided[id].verdict)
-	}
-	s.mu.Unlock()
-	s.count(CtrVerdictsServed, int64(len(out)))
-	return out
 }
 
 // Pagination bounds for VerdictsPage and GET /verdicts.

@@ -175,7 +175,7 @@ func TestDrainDeliversAllVerdicts(t *testing.T) {
 	if err := s.Submit(simJob("late", 99)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit error = %v, want ErrDraining", err)
 	}
-	vs := s.Verdicts()
+	vs := allVerdicts(t, s)
 	if len(vs) != n+1 {
 		t.Fatalf("verdicts after drain = %d, want %d", len(vs), n+1)
 	}
@@ -308,7 +308,7 @@ func TestManyJobsSmoke(t *testing.T) {
 					t.Errorf("submit %s: %v", id, err)
 				}
 				if i%7 == 0 {
-					s.Verdicts() // concurrent queries must be safe
+					s.VerdictsPage(0, 0) // concurrent queries must be safe
 				}
 			}
 		}(c)
@@ -317,7 +317,7 @@ func TestManyJobsSmoke(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	vs := s.Verdicts()
+	vs := allVerdicts(t, s)
 	if len(vs) != len(admitted) {
 		t.Fatalf("verdicts = %d, admitted = %d", len(vs), len(admitted))
 	}
@@ -395,9 +395,20 @@ func TestVerdictBitIdenticalToInProcessRun(t *testing.T) {
 	}
 }
 
+// allVerdicts returns every decided verdict, failing the test if they
+// do not fit one maximal page.
+func allVerdicts(t *testing.T, s *Service) []Verdict {
+	t.Helper()
+	vs, more := s.VerdictsPage(0, MaxVerdictsLimit)
+	if more {
+		t.Fatalf("more than %d verdicts", MaxVerdictsLimit)
+	}
+	return vs
+}
+
 func TestRunPanicYieldsFailedVerdict(t *testing.T) {
 	boom := func(rc experiment.RunConfig) experiment.RunResult { panic("boom") }
-	s := New(Config{Run: boom, Retries: -1})
+	s := New(Config{Run: boom})
 	defer s.Close()
 	if err := s.Submit(simJob("p", 1)); err != nil {
 		t.Fatalf("submit: %v", err)

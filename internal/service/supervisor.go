@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"parastack/internal/diagnose/waitfor"
 	"parastack/internal/sweep"
 )
 
@@ -104,9 +103,9 @@ func (e *DrainTimeoutError) Unwrap() error { return e.Cause }
 
 // dispatch hands one simulation job to the worker pool — unless the
 // shard's circuit breaker refuses, in which case the job bounces
-// straight back to the supervisor as a transient infrastructure
-// failure (requeued with backoff while the breaker cools, failed fast
-// once its attempts run out). The breaker sees only real run outcomes:
+// straight back to the supervisor as a failed attempt (requeued with
+// backoff while the breaker cools, failed fast once its attempts run
+// out). The breaker sees every execution's outcome and nothing else:
 // a bounce is not a failure, so a tripped breaker cannot feed itself.
 func (s *Service) dispatch(shard int, j *job) {
 	if !s.breakers[shard].allow(time.Now()) {
@@ -138,27 +137,12 @@ func (s *Service) complete(j *job, rec sweep.Record) {
 	s.decide(j, v)
 }
 
-// shouldRequeue is the retry policy: the wait-for cause feeding back
-// into scheduling. A run that completed with no report leaves nothing
-// to redo, and a structural hang (a deadlock cycle, a collective
-// mismatch) reproduces on every deterministic re-run, so both are
-// decided at once. Everything else is plausibly transient and worth a
-// bounded requeue: a straggler chain or lost message, an unknown or
-// missing diagnosis, a panicked worker or an open circuit (which have
-// no result at all).
+// shouldRequeue is the retry policy: only an attempt that produced no
+// result — a panicked run or an open circuit — is worth another try.
+// Every result, hang or clean, is final on its first run: a simulation
+// is deterministic, so a re-run returns the same verdict.
 func shouldRequeue(rec sweep.Record) bool {
-	r := rec.Result
-	if rec.Status != sweep.StatusOK || r == nil {
-		return true
-	}
-	if r.Completed && !r.Detected && !r.FalsePositive {
-		return false
-	}
-	switch waitfor.Cause(r.Cause) {
-	case waitfor.CauseDeadlock, waitfor.CauseCollectiveMismatch:
-		return false
-	}
-	return true
+	return rec.Status != sweep.StatusOK || rec.Result == nil
 }
 
 // requeue schedules one more attempt for j after its deterministic
@@ -179,13 +163,7 @@ func (s *Service) requeue(j *job, v Verdict) bool {
 	delay := p.Delay(j.spec.ID, j.attempt)
 	j.retryTimer = time.AfterFunc(delay, func() { s.refire(j) })
 	s.mu.Unlock()
-	if v.Report != nil {
-		// A hang verdict whose cause says "plausibly transient": the
-		// scheduler-style requeue the diagnosis layer was built for.
-		s.count(CtrJobRequeues, 1)
-	} else {
-		s.count(CtrJobRetries, 1)
-	}
+	s.count(CtrJobRetries, 1)
 	return true
 }
 

@@ -60,10 +60,9 @@ func TestRetryPolicyDelayDeterministic(t *testing.T) {
 	}
 }
 
-// The requeue predicate is policy, pinned by table: structural causes
-// and clean completions are decided at once, everything else — every
-// other cause, no cause, a false alarm, a failed attempt — is worth
-// another try.
+// The requeue predicate is policy, pinned by table: an attempt with no
+// result (a failed run, a bounced dispatch) is worth another try, and
+// every result is final on its first run, whatever its cause.
 func TestShouldRequeue(t *testing.T) {
 	hung := func(cause waitfor.Cause) sweep.Record {
 		res := hangResult(string(cause))
@@ -75,19 +74,20 @@ func TestShouldRequeue(t *testing.T) {
 		rec  sweep.Record
 		want bool
 	}{
+		{"failed attempt", sweep.Record{Status: sweep.StatusFailed, Error: "run panicked"}, true},
+		{"ok with a nil result", sweep.Record{Status: sweep.StatusOK}, true},
 		{"deadlock", hung(waitfor.CauseDeadlock), false},
 		{"collective-mismatch", hung(waitfor.CauseCollectiveMismatch), false},
-		{"straggler-chain", hung(waitfor.CauseStragglerChain), true},
-		{"lost-message", hung(waitfor.CauseLostMessage), true},
-		{"unknown", hung(waitfor.CauseUnknown), true},
-		{"empty cause", hung(""), true},
+		{"straggler-chain", hung(waitfor.CauseStragglerChain), false},
+		{"lost-message", hung(waitfor.CauseLostMessage), false},
+		{"unknown", hung(waitfor.CauseUnknown), false},
+		{"empty cause", hung(""), false},
 		{"completed cleanly", sweep.Record{Status: sweep.StatusOK,
 			Result: &experiment.RunResult{Completed: true}}, false},
 		{"completed with a false positive", sweep.Record{Status: sweep.StatusOK,
-			Result: &experiment.RunResult{Completed: true, FalsePositive: true, Report: &detect.Report{}}}, true},
+			Result: &experiment.RunResult{Completed: true, FalsePositive: true, Report: &detect.Report{}}}, false},
 		{"hung with no report", sweep.Record{Status: sweep.StatusOK,
-			Result: &experiment.RunResult{}}, true},
-		{"failed attempt", sweep.Record{Status: sweep.StatusFailed, Error: "run panicked"}, true},
+			Result: &experiment.RunResult{}}, false},
 	}
 	for _, c := range cases {
 		if got := shouldRequeue(c.rec); got != c.want {
@@ -111,7 +111,7 @@ func TestTransientFailureRetriedUntilSuccess(t *testing.T) {
 		}
 		return fakeRun(rc)
 	}
-	s := New(Config{Run: flaky, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: flaky, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
 	defer s.Close()
 	if err := s.Submit(simJob("flaky", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -143,7 +143,7 @@ func TestRetriesExhaustedYieldFailedVerdict(t *testing.T) {
 		calls.Add(1)
 		panic("always broken")
 	}
-	s := New(Config{Run: boom, Retries: -1, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	s := New(Config{Run: boom, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
 	defer s.Close()
 	if err := s.Submit(simJob("doomed", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -192,23 +192,18 @@ func TestStructuralHangFailsFast(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("run attempts = %d, want 1 (deadlock is fail-fast)", got)
 	}
-	if got := s.Counters().Counter(CtrJobRequeues); got != 0 {
-		t.Errorf("requeues = %d, want 0", got)
-	}
 }
 
-// A straggler-chain hang is plausibly noise-induced: the supervisor
-// requeues it, and a clean second run supersedes the hang verdict.
-func TestTransientHangRequeued(t *testing.T) {
+// A hang verdict is final even under a generous attempt budget, also
+// for a straggler chain: the simulation is deterministic, so a re-run
+// would only repeat it.
+func TestHangVerdictRunsOnce(t *testing.T) {
 	var calls atomic.Int64
-	stragglerOnce := func(rc experiment.RunConfig) experiment.RunResult {
-		if calls.Add(1) == 1 {
-			return hangResult(string(waitfor.CauseStragglerChain))
-		}
-		return fakeRun(rc)
+	straggler := func(rc experiment.RunConfig) experiment.RunResult {
+		calls.Add(1)
+		return hangResult(string(waitfor.CauseStragglerChain))
 	}
-	s := New(Config{Run: stragglerOnce, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
-	defer s.Close()
+	s := New(Config{Run: straggler, Retry: retryPolicyFast(3), BreakerThreshold: -1, BatchDelay: time.Millisecond})
 	if err := s.Submit(simJob("strag", 1)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -216,34 +211,54 @@ func TestTransientHangRequeued(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if !v.Completed || v.Report != nil {
-		t.Fatalf("verdict = %+v, want the clean re-run's", v)
+	if v.Status != VerdictOK || v.Report == nil || v.Cause != string(waitfor.CauseStragglerChain) {
+		t.Fatalf("verdict = %+v, want the straggler hang report", v)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("run attempts = %d, want 1", got)
+	}
+	if got := s.Counters().Counter(CtrJobRetries); got != 0 {
+		t.Errorf("retries = %d, want 0", got)
+	}
+}
+
+// Under two attempts — the daemon's default -retry-max — a run that
+// always panics executes exactly twice and ends as one failed verdict.
+func TestPanickingRunRunsTwiceUnderTwoAttempts(t *testing.T) {
+	var calls atomic.Int64
+	boom := func(rc experiment.RunConfig) experiment.RunResult {
+		calls.Add(1)
+		panic("always broken")
+	}
+	s := New(Config{Run: boom, Retry: retryPolicyFast(2), BreakerThreshold: -1, BatchDelay: time.Millisecond})
+	if err := s.Submit(simJob("twice", 1)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	v, err := s.Wait(context.Background(), "twice")
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if v.Status != VerdictFailed || !strings.Contains(v.Error, "always broken") {
+		t.Fatalf("verdict = %+v, want the panic as a failed verdict", v)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("run attempts = %d, want 2", got)
 	}
-	if got := s.Counters().Counter(CtrJobRequeues); got != 1 {
-		t.Errorf("requeues = %d, want 1", got)
+	if vs := allVerdicts(t, s); len(vs) != 1 {
+		t.Errorf("verdicts = %d, want 1", len(vs))
 	}
-}
-
-// If attempts run out while the last outcome is still a transient hang,
-// that hang verdict — not a synthetic failure — is the final answer.
-func TestTransientHangKeptWhenAttemptsExhausted(t *testing.T) {
-	straggler := func(rc experiment.RunConfig) experiment.RunResult {
-		return hangResult(string(waitfor.CauseStragglerChain))
+	snap := s.Counters()
+	if got := snap.Counter(CtrJobsFailed); got != 1 {
+		t.Errorf("jobs_failed = %d, want 1", got)
 	}
-	s := New(Config{Run: straggler, Retry: retryPolicyFast(2), BreakerThreshold: -1, BatchDelay: time.Millisecond})
-	defer s.Close()
-	if err := s.Submit(simJob("strag2", 1)); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	v, err := s.Wait(context.Background(), "strag2")
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if v.Status != VerdictOK || v.Report == nil || v.Cause != string(waitfor.CauseStragglerChain) {
-		t.Fatalf("verdict = %+v, want the persistent straggler hang report", v)
+	if got := snap.Counter(CtrJobRetries); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
 	}
 }
 
@@ -309,7 +324,7 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestBreakerTripsAndBouncesJobs(t *testing.T) {
 	boom := func(rc experiment.RunConfig) experiment.RunResult { panic("poisoned shard") }
 	s := New(Config{
-		Run: boom, Retries: -1, Workers: 1, Shards: 1,
+		Run: boom, Workers: 1, Shards: 1,
 		Retry:            RetryPolicy{MaxAttempts: 1},
 		BreakerThreshold: 2, BreakerCooldown: time.Hour,
 		BatchDelay: time.Millisecond,

@@ -22,10 +22,7 @@ import (
 // Campaign cells are keyed by a fingerprint of the run configuration
 // (workload calibration, platform profile, detector settings, seed) so
 // that two campaigns over the same configuration share results while
-// campaigns differing in any knob never collide. Configurations
-// carrying ExtraDetectors cannot be fingerprinted (factories are
-// opaque functions) and are marked so their keys never match across
-// processes.
+// campaigns differing in any knob never collide.
 type Orchestrator struct {
 	ctx   context.Context
 	opts  Options
@@ -170,11 +167,6 @@ func Fingerprint(rc experiment.RunConfig) string {
 		// configuration keeps the fingerprint it had before the chaos
 		// axis existed and old logs stay resumable.
 		fmt.Fprintf(&b, "|chaos=%+v", *rc.Chaos)
-	}
-	if len(rc.ExtraDetectors) > 0 {
-		// Factories are opaque: give the key a per-process marker so it
-		// can never falsely match a logged record.
-		fmt.Fprintf(&b, "|extra=%d,%p", len(rc.ExtraDetectors), rc.ExtraDetectors)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(b.String()))

@@ -284,12 +284,7 @@ func (p *pool) run(ctx context.Context, units []unit, sink func(Record)) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := p.opts.Run
-			if run == nil {
-				// Per-worker Runner: simulator memory is reused across this
-				// worker's runs and never shared between workers.
-				run = experiment.NewRunner().Run
-			}
+			run := workerRun(p.opts)
 			for u := range next {
 				rec := p.execute(u, &run)
 				p.mu.Lock()
@@ -351,20 +346,11 @@ feed:
 // points at the worker's executor so a panicked attempt can swap in a
 // fresh Runner (a half-run simulator is not safely resettable).
 func (p *pool) execute(u unit, run *func(experiment.RunConfig) experiment.RunResult) Record {
-	var lastErr string
 	for attempt := 1; ; attempt++ {
-		res, err := p.runOnce(u.rc, *run)
-		if err != nil && p.opts.Run == nil {
-			*run = experiment.NewRunner().Run
-		}
-		if err == nil {
-			return Record{Schema: SchemaVersion, Key: u.key, Index: u.index,
-				Status: StatusOK, Attempts: attempt, Result: res}
-		}
-		lastErr = err.Error()
-		if attempt > p.opts.Retries {
-			return Record{Schema: SchemaVersion, Key: u.key, Index: u.index,
-				Status: StatusFailed, Attempts: attempt, Error: lastErr}
+		rec := runOnce(u, run, p.opts.Run == nil)
+		rec.Attempts = attempt
+		if rec.Status == StatusOK || attempt > p.opts.Retries {
+			return rec
 		}
 		p.mu.Lock()
 		p.retried++
@@ -373,16 +359,34 @@ func (p *pool) execute(u unit, run *func(experiment.RunConfig) experiment.RunRes
 	}
 }
 
-// runOnce executes one run, converting a panic into an error so a bad
-// cell cannot take the sweep down.
-func (p *pool) runOnce(rc experiment.RunConfig, run func(experiment.RunConfig) experiment.RunResult) (res *experiment.RunResult, err error) {
+// workerRun returns one worker's executor: opts.Run when set, else a
+// Runner of the worker's own, so simulator memory is reused across the
+// worker's runs and never shared between workers.
+func workerRun(opts Options) func(experiment.RunConfig) experiment.RunResult {
+	if opts.Run != nil {
+		return opts.Run
+	}
+	return experiment.NewRunner().Run
+}
+
+// runOnce executes u once, converting a panic into a StatusFailed
+// record so a bad cell cannot take the sweep down. A panicked run
+// leaves its simulator half-run and not safely resettable, so when
+// the worker owns its Runner (ownRunner), *run is swapped for a fresh
+// one.
+func runOnce(u unit, run *func(experiment.RunConfig) experiment.RunResult, ownRunner bool) (rec Record) {
+	rec = Record{Schema: SchemaVersion, Key: u.key, Index: u.index, Status: StatusOK, Attempts: 1}
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("run panicked: %v", r)
+			rec.Status, rec.Result, rec.Error = StatusFailed, nil, fmt.Sprintf("run panicked: %v", r)
+			if ownRunner {
+				*run = experiment.NewRunner().Run
+			}
 		}
 	}()
-	r := run(rc)
-	return &r, nil
+	res := (*run)(u.rc)
+	rec.Result = &res
+	return rec
 }
 
 // progressLocked emits a progress update (throttled unless final).

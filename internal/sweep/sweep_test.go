@@ -212,6 +212,46 @@ func TestRetry(t *testing.T) {
 	}
 }
 
+// TestPoolRunsEachTaskOnce: a streaming Pool executes every task
+// exactly once, whatever Options.Retries says. A panicking task comes
+// back failed after its single attempt; whether to run it again is the
+// submitter's decision.
+func TestPoolRunsEachTaskOnce(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[int64]int{}
+	run := func(rc experiment.RunConfig) experiment.RunResult {
+		mu.Lock()
+		calls[rc.Seed]++
+		mu.Unlock()
+		if rc.Seed == 1 {
+			panic("poisoned task")
+		}
+		return fakeRun(rc)
+	}
+	p := NewPool(Options{Run: run, Workers: 1, Retries: 3})
+	recs := make(chan Record, 2)
+	for seed := int64(1); seed <= 2; seed++ {
+		p.Submit(Task{Key: fmt.Sprint("task", seed), Config: experiment.RunConfig{Seed: seed}},
+			func(r Record) { recs <- r })
+	}
+	p.Close()
+	close(recs)
+	byKey := map[string]Record{}
+	for r := range recs {
+		byKey[r.Key] = r
+	}
+	if r := byKey["task1"]; r.Status != StatusFailed || r.Attempts != 1 || r.Result != nil ||
+		!strings.Contains(r.Error, "poisoned task") {
+		t.Errorf("panicking task: %+v, want failed after 1 attempt with the panic message", r)
+	}
+	if r := byKey["task2"]; r.Status != StatusOK || r.Attempts != 1 || r.Result == nil {
+		t.Errorf("healthy task: %+v, want ok after 1 attempt", r)
+	}
+	if calls[1] != 1 || calls[2] != 1 {
+		t.Errorf("executions = %v, want one per task", calls)
+	}
+}
+
 // TestResumeSkipsFailed: failed cells are terminal — resume must not
 // re-execute them (deterministic runs would fail again).
 func TestResumeSkipsFailed(t *testing.T) {

@@ -108,23 +108,11 @@ const (
 	HangCommunication = core.HangCommunication
 )
 
-// Detector interface: the contract every hang detector — the ParaStack
-// Monitor and both baselines — satisfies.
-type (
-	// Detector is the unifying detector interface: Start begins
-	// monitoring, Report returns the verified hang report (nil while
-	// none), Name identifies the detector in results.
-	Detector = detect.Detector
-	// DetectorEnv is what a DetectorFactory gets to build against: the
-	// run's world, cluster topology, and recorder.
-	DetectorEnv = experiment.DetectorEnv
-	// DetectorFactory builds one Detector per run; attach via
-	// RunConfig.ExtraDetectors.
-	DetectorFactory = experiment.DetectorFactory
-	// NamedReport pairs a detector's Name with its final Report in
-	// RunResult.Extra.
-	NamedReport = experiment.NamedReport
-)
+// Detector is the contract every hang detector — the ParaStack Monitor
+// and both baselines — satisfies: Start begins monitoring, Report
+// returns the verified hang report (nil while none), Name identifies
+// the detector in results.
+type Detector = detect.Detector
 
 // Fault injection.
 type (
@@ -253,12 +241,6 @@ func LookupPlatform(name string) (Profile, error) { return noise.Lookup(name) }
 // PlatformNames lists the known platform profiles.
 func PlatformNames() []string { return noise.Names() }
 
-// PlatformByName returns a named profile.
-//
-// Deprecated: use LookupPlatform, which returns an error instead of
-// panicking on unknown names.
-func PlatformByName(name string) Profile { return noise.ByName(name) }
-
 // ParseFaultKind parses a fault-kind name ("none", "computation",
 // "node", "deadlock").
 func ParseFaultKind(name string) (FaultKind, error) { return fault.Parse(name) }
@@ -363,24 +345,6 @@ func OpenJSONLTrace(path string) (*JSONLSink, error) { return obs.OpenJSONL(path
 
 // NewMetricTotals returns an empty cross-run counter aggregator.
 func NewMetricTotals() *MetricTotals { return obs.NewTotals() }
-
-// MonitorDetectorFactory returns a factory attaching ParaStack with
-// cfg through RunConfig.ExtraDetectors.
-func MonitorDetectorFactory(cfg MonitorConfig) DetectorFactory {
-	return experiment.MonitorDetector(cfg)
-}
-
-// TimeoutDetectorFactory returns a factory attaching the fixed-(I,K)
-// baseline with cfg through RunConfig.ExtraDetectors.
-func TimeoutDetectorFactory(cfg TimeoutConfig) DetectorFactory {
-	return experiment.TimeoutDetector(cfg)
-}
-
-// WatchdogDetectorFactory returns a factory attaching the activity
-// watchdog through RunConfig.ExtraDetectors.
-func WatchdogDetectorFactory(timeoutDur time.Duration) DetectorFactory {
-	return experiment.WatchdogDetector(timeoutDur)
-}
 
 // Sweeps: the resumable campaign orchestrator (package internal/sweep,
 // command cmd/pssweep).
